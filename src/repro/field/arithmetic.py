@@ -3,7 +3,17 @@
 The central object is :class:`FiniteField`.  Field elements are represented
 as ``numpy.uint64`` arrays whose entries are *reduced residues* in
 ``[0, q)``; every public method returns arrays satisfying that contract and
-accepts arbitrary integer arrays (which are reduced on entry).
+accepts arbitrary integer arrays.
+
+Canonical-residue contract: values are reduced once, where they enter the
+program — HTTP decode (which rejects words ``>= q``), non-uint64 input,
+and :meth:`FiniteField.random` — and residues are not reduced again inside
+the field ops.  Each uint64 operand gets one read-only ``max()``
+scan: canonical input is used as is, anything else still goes through the
+full reduction, so every result is canonical for every input.  The ops
+never write to their operands.  :meth:`FiniteField.array` always returns
+a fresh buffer (a copy when the input is already canonical), so callers
+may store and mutate its result.
 
 All binary operations are elementwise-vectorized.  Because the modulus is
 validated to be below ``2**32`` (:func:`repro.field.prime.validate_modulus`),
@@ -62,11 +72,13 @@ class FiniteField:
     1073741824
     """
 
-    __slots__ = ("q", "_q64", "reducer")
+    __slots__ = ("q", "_q64", "_product_max", "reducer")
 
     def __init__(self, q: int = DEFAULT_PRIME, reducer: Optional[str] = None):
         self.q: int = validate_modulus(q)
         self._q64 = np.uint64(self.q)
+        #: Largest product of two residues; bounds the reduction in mul.
+        self._product_max = (self.q - 1) ** 2
         self.reducer: Reducer = select_reducer(self.q, reducer)
 
     # ------------------------------------------------------------------
@@ -76,11 +88,26 @@ class FiniteField:
         """Convert integers to reduced residues as a uint64 array.
 
         Negative inputs are mapped to their canonical representatives, e.g.
-        ``-1`` becomes ``q - 1``.
+        ``-1`` becomes ``q - 1``.  The result never aliases ``values``:
+        canonical uint64 input is copied, anything else is reduced into a
+        fresh buffer.
+        """
+        arr = np.asarray(values)
+        out = self._residues(arr)
+        return out.copy() if out is arr else out
+
+    def _residues(self, values: ArrayLike) -> np.ndarray:
+        """Canonical residues of ``values`` for read-only use (no copy).
+
+        A uint64 array (ndim >= 1) whose maximum is below ``q`` is
+        returned as is, after one read-only ``max()`` scan; any other
+        input is reduced into a fresh buffer.  Callers must not write to
+        the result.
         """
         arr = np.asarray(values)
         if arr.dtype == np.uint64:
-            # reduce() always allocates a fresh buffer (np.mod semantics).
+            if arr.ndim and (arr.size == 0 or arr.max() < self._q64):
+                return arr
             return self.reducer.reduce(arr)
         if not np.issubdtype(arr.dtype, np.integer):
             raise FieldError(
@@ -114,7 +141,7 @@ class FiniteField:
         quantizer (paper eq. 36): residues above ``(q-1)/2`` map to negative
         integers.
         """
-        a = self.array(a)
+        a = self._residues(a)
         half = (self.q - 1) // 2
         signed = a.astype(np.int64)
         signed[a > half] -= self.q
@@ -125,26 +152,26 @@ class FiniteField:
     # ------------------------------------------------------------------
     def add(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
         """Elementwise ``a + b (mod q)``."""
-        a = self.array(a)
-        b = self.array(b)
+        a = self._residues(a)
+        b = self._residues(b)
         return self.reducer.reduce_semi(a + b)
 
     def sub(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
         """Elementwise ``a - b (mod q)``."""
-        a = self.array(a)
-        b = self.array(b)
+        a = self._residues(a)
+        b = self._residues(b)
         return self.reducer.reduce_semi(a + (self._q64 - b))
 
     def neg(self, a: ArrayLike) -> np.ndarray:
         """Elementwise additive inverse ``-a (mod q)``."""
-        a = self.array(a)
+        a = self._residues(a)
         return self.reducer.reduce_semi(self._q64 - a)
 
     def mul(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
         """Elementwise ``a * b (mod q)``; exact because q < 2**32."""
-        a = self.array(a)
-        b = self.array(b)
-        return self.reducer.reduce(a * b)
+        a = self._residues(a)
+        b = self._residues(b)
+        return self.reducer.reduce_bounded(a * b, self._product_max)
 
     def pow(self, a: ArrayLike, e: int) -> np.ndarray:
         """Elementwise ``a ** e (mod q)`` by binary exponentiation.
@@ -156,25 +183,25 @@ class FiniteField:
         default modulus) followed by a second exponentiation.  Negative
         exponents require every base to be nonzero.
         """
-        a = self.array(a)
+        a = self._residues(a)
         if e < 0:
             if a.size and np.any(a == 0):
                 raise FieldError("zero has no multiplicative inverse")
             e = e % (self.q - 1)
         red = self.reducer
         result = np.ones_like(a)
-        base = a.copy()
+        base = a
         while e:
             if e & 1:
-                result = red.reduce(result * base)
+                result = red.reduce_bounded(result * base, self._product_max)
             e >>= 1
             if e:
-                base = red.reduce(base * base)
+                base = red.reduce_bounded(base * base, self._product_max)
         return result
 
     def inv(self, a: ArrayLike) -> np.ndarray:
         """Elementwise multiplicative inverse via Fermat's little theorem."""
-        a = self.array(a)
+        a = self._residues(a)
         if a.size and np.any(a == 0):
             raise FieldError("zero has no multiplicative inverse")
         return self.pow(a, self.q - 2)
@@ -193,17 +220,18 @@ class FiniteField:
         possible; for typical sizes a chunked uint64 accumulation is exact:
         we reduce every ``2**31`` additions, far below any realistic chunk.
         """
-        a = self.array(a)
+        a = self._residues(a)
         # Each residue < 2**32, so up to 2**32 terms can be accumulated in
         # uint64 without overflow.  numpy sums of that length are infeasible
         # in memory anyway, so a single np.sum is always exact here.
         total = np.sum(a, axis=axis, dtype=np.uint64)
-        return self.reducer.reduce(total)
+        terms = a.size if axis is None else a.shape[axis]
+        return self.reducer.reduce_bounded(total, terms * (self.q - 1))
 
     def dot(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
         """Inner product of two 1-D field arrays."""
-        a = self.array(a)
-        b = self.array(b)
+        a = self._residues(a)
+        b = self._residues(b)
         if a.shape != b.shape or a.ndim != 1:
             raise FieldError("dot requires two 1-D arrays of equal length")
         return self.sum(self.mul(a, b))
@@ -238,8 +266,8 @@ class FiniteField:
         kernel runs instead, preserved as the A/B baseline.  Both paths
         return identical canonical residues.
         """
-        a = self.array(a)
-        b = self.array(b)
+        a = self._residues(a)
+        b = self._residues(b)
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
             raise FieldError(f"incompatible matmul shapes {a.shape} x {b.shape}")
         m, k = a.shape
@@ -370,7 +398,7 @@ class FiniteField:
 
     def matvec(self, a: ArrayLike, x: ArrayLike) -> np.ndarray:
         """Matrix-vector product over GF(q)."""
-        x = self.array(x)
+        x = self._residues(x)
         if x.ndim != 1:
             raise FieldError("matvec requires a 1-D vector")
         return self.matmul(a, x[:, None])[:, 0]

@@ -67,8 +67,8 @@ def solve(gf: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``b`` may be a vector or a matrix of stacked right-hand sides.
     Raises :class:`SingularMatrixError` when ``a`` is singular.
     """
-    a = gf.array(a)
-    b = gf.array(b)
+    a = gf._residues(a)
+    b = gf._residues(b)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise FieldError(f"solve requires a square matrix, got {a.shape}")
     vector_rhs = b.ndim == 1
@@ -85,7 +85,7 @@ def solve(gf: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def inv(gf: FiniteField, a: np.ndarray) -> np.ndarray:
     """Matrix inverse over GF(q) via Gauss-Jordan on ``[A | I]``."""
-    a = gf.array(a)
+    a = gf._residues(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise FieldError(f"inv requires a square matrix, got {a.shape}")
     n = a.shape[0]
@@ -99,7 +99,7 @@ def inv(gf: FiniteField, a: np.ndarray) -> np.ndarray:
 
 def det(gf: FiniteField, a: np.ndarray) -> int:
     """Determinant over GF(q); 0 for singular matrices."""
-    a = gf.array(a)
+    a = gf._residues(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise FieldError(f"det requires a square matrix, got {a.shape}")
     _, _, d = _eliminate(gf, a, a.shape[0])
@@ -108,7 +108,7 @@ def det(gf: FiniteField, a: np.ndarray) -> int:
 
 def rank(gf: FiniteField, a: np.ndarray) -> int:
     """Rank over GF(q)."""
-    a = gf.array(a)
+    a = gf._residues(a)
     if a.ndim != 2:
         raise FieldError("rank requires a 2-D matrix")
     _, r, _ = _eliminate(gf, a, a.shape[1])
@@ -117,7 +117,7 @@ def rank(gf: FiniteField, a: np.ndarray) -> int:
 
 def is_invertible(gf: FiniteField, a: np.ndarray) -> bool:
     """True when the square matrix ``a`` is invertible over GF(q)."""
-    a = gf.array(a)
+    a = gf._residues(a)
     return a.ndim == 2 and a.shape[0] == a.shape[1] and rank(gf, a) == a.shape[0]
 
 
@@ -130,7 +130,7 @@ def is_mds(gf: FiniteField, w: np.ndarray) -> bool:
     """
     from itertools import combinations
 
-    w = gf.array(w)
+    w = gf._residues(w)
     if w.ndim != 2:
         raise FieldError("is_mds requires a 2-D matrix")
     u, n = w.shape

@@ -24,6 +24,19 @@ All three return canonical residues in ``[0, q)``, so results are
 bit-identical across reducers by construction; the test suite pins this
 (``tests/field/test_reduce.py``).
 
+The field layer calls a reducer only on values that may be out of range:
+raw sums and products inside an op, and operands that fail
+:class:`~repro.field.arithmetic.FiniteField`'s one-scan canonical check.
+Already-canonical uint64 residues are never passed through a reducer
+again (``tests/field/test_canonical_contract.py``).  ``reduce_semi``
+(add/sub/neg, and the tail of ``reduce_bounded``) is the conditional
+subtract ``min(x, x - q)``: ``x - q`` wraps above ``x`` exactly when
+``x < q``.  Its cost does not depend on the data, unlike a masked
+subtract, which is several times slower when about half the elements
+need it — the case for a sum of two residues.  The full-range kernels
+keep the masked subtract as their last step, where after the folds
+almost no element needs it.
+
 Selection is ``"auto"`` (Mersenne when the modulus allows, Barrett
 otherwise) unless overridden by the constructor argument or the
 ``REPRO_FIELD_REDUCER`` environment variable (``auto`` / ``mersenne`` /
@@ -160,12 +173,9 @@ class Reducer:
         return self._reduce(x, out)
 
     def _reduce_semi(self, x: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
-        if out is None:
-            out = x.copy()
-        elif out is not x:
-            np.copyto(out, x)
-        np.subtract(out, self._q64, out=out, where=out >= self._q64)
-        return out
+        # ``x - q`` wraps above ``x`` exactly when ``x < q``.
+        d = np.subtract(x, self._q64)
+        return np.minimum(x, d, out=d if out is None else out)
 
     # -- lazy-accumulation geometry -------------------------------------
     def fold_bound(self, x_max: int) -> int:
@@ -210,6 +220,11 @@ class NumpyModReducer(Reducer):
     # did: one integer division everywhere, so A/B timings are honest.
     def _reduce_semi(self, x: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
         return self._reduce(x, out)
+
+    # One division whatever the bound, as the pre-reducer field layer
+    # did; the fold chain would spend a second one.
+    def reduce_bounded(self, x, x_max: int, out: Optional[np.ndarray] = None):
+        return self.reduce(x, out=out)
 
 
 def mersenne_exponent(q: int) -> Optional[int]:

@@ -37,7 +37,7 @@ def vandermonde(gf: FiniteField, points: Sequence[int], nrows: int) -> np.ndarra
     With distinct points, any ``nrows`` columns form an invertible square
     Vandermonde matrix, so the matrix is MDS.
     """
-    pts = gf.array(points)
+    pts = gf._residues(points)
     if pts.ndim != 1:
         raise FieldError("points must be 1-D")
     if len(set(pts.tolist())) != pts.size:
@@ -99,8 +99,8 @@ def lagrange_coeffs(
 
     Shape: ``(len(eval_points), len(sample_points))``.
     """
-    s = gf.array(sample_points)
-    e = gf.array(eval_points)
+    s = gf._residues(sample_points)
+    e = gf._residues(eval_points)
     if s.ndim != 1 or e.ndim != 1:
         raise FieldError("points must be 1-D")
     if len(set(s.tolist())) != s.size:
@@ -128,7 +128,7 @@ def interpolate(
     simultaneously.
     """
     coeffs = lagrange_coeffs(gf, sample_points, eval_points)
-    samples = gf.array(samples)
+    samples = gf._residues(samples)
     if samples.ndim == 1:
         return gf.matvec(coeffs, samples)
     return gf.matmul(coeffs, samples)

@@ -243,7 +243,12 @@ class LightSecAggSession(ProtocolSession):
         # it through the offline phase uploads, including users about to
         # drop; offline dropouts never upload at all.
         live = [i for i in range(n) if i not in offline_dropouts]
-        stacked = np.stack([gf.array(updates[i]) for i in live], axis=0)
+        # One stack of the raw updates; ``gf.add`` checks (and only if
+        # needed reduces) the whole block at once.  Updates whose dtypes
+        # do not stack to an integer array are converted one by one.
+        stacked = np.stack([np.asarray(updates[i]) for i in live], axis=0)
+        if not np.issubdtype(stacked.dtype, np.integer):
+            stacked = np.stack([gf.array(updates[i]) for i in live], axis=0)
         masked = gf.add(stacked, material.masks[live])
         for i in live:
             transcript.record(i, SERVER, "upload", self.model_dim)

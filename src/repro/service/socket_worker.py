@@ -117,8 +117,12 @@ class _Connection:
         ]
 
     def start(self) -> None:
-        for thread in self._threads:
+        # Serving threads first: a Shutdown read the instant the recv
+        # thread runs joins them, and an unstarted thread cannot be joined.
+        recv, *serving = self._threads
+        for thread in serving:
             thread.start()
+        recv.start()
 
     # ------------------------------------------------------------------
     def _send(self, message, request_id: int) -> None:

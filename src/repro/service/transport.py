@@ -448,6 +448,9 @@ def _worker_serve(conn, specs: Dict[int, ShardSessionSpec]) -> None:
             except (EOFError, OSError):
                 return  # coordinator died; daemon exit
             request_id, message = decode_message(frame, shm=registry.resolve)
+            # Where a traced request's queue-wait clock starts, as on the
+            # socket worker: the dwell from here to compute start.
+            received_at = time.time()
             if isinstance(message, Shutdown):
                 # Contract: a refill in flight completes (and its response
                 # is delivered) before the shutdown is acknowledged.
@@ -484,13 +487,13 @@ def _worker_serve(conn, specs: Dict[int, ShardSessionSpec]) -> None:
                     )
                     worker_span = None
                     if message.trace_id:
-                        # Rounds are served straight off the pipe on this
-                        # thread, so there is no measurable queue dwell.
                         worker_span = WorkerSpan(
                             trace_id=message.trace_id,
                             pid=os.getpid(),
                             host=_HOSTNAME,
-                            queue_wait_seconds=0.0,
+                            queue_wait_seconds=max(
+                                0.0, compute_start - received_at
+                            ),
                             compute_start_unix=compute_start,
                             compute_seconds=time.time() - compute_start,
                         )
@@ -545,7 +548,9 @@ def _worker_serve(conn, specs: Dict[int, ShardSessionSpec]) -> None:
                             trace_id=message.trace_id,
                             pid=os.getpid(),
                             host=_HOSTNAME,
-                            queue_wait_seconds=0.0,
+                            queue_wait_seconds=max(
+                                0.0, compute_start - received_at
+                            ),
                             compute_start_unix=compute_start,
                             compute_seconds=time.time() - compute_start,
                         )

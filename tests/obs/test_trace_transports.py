@@ -144,6 +144,34 @@ class TestTracedLanes:
         for s in compute_spans(traces[-1]):
             assert s.tags["pid"] != str(os.getpid())
 
+    def test_process_lane_measures_queue_wait(self, gf_module, monkeypatch):
+        """Process workers stamp each request on receipt, like the socket
+        worker, and report the dwell until compute starts."""
+        from repro.service import transport
+
+        reported = []
+        absorb = transport._absorb_worker_span
+
+        def record(trace, shard_id, ws, kind):
+            reported.append(ws)
+            absorb(trace, shard_id, ws, kind)
+
+        monkeypatch.setattr(transport, "_absorb_worker_span", record)
+        _, traces = run_lane(gf_module, TransportKind.PROCESS)
+        waits = [ws.queue_wait_seconds for ws in reported if ws is not None]
+        assert len(waits) == 2 * ROUNDS  # one span per shard per round
+        assert all(w >= 0 for w in waits)
+        # A measured clock difference, not a hard-coded 0.0.
+        assert any(w > 0 for w in waits)
+        stitched = [
+            child
+            for trace in traces
+            for top in compute_spans(trace)
+            for child in top.children
+            if child.name == "queue_wait"
+        ]
+        assert len(stitched) == sum(w > 0 for w in waits)
+
     def test_inline_lane_nests_protocol_spans(self, gf_module):
         """Inline shards run on the coordinator thread, so once the
         offline pool drains, the session's refill-on-miss spans

@@ -343,6 +343,49 @@ class TestConnectionBatching:
         assert refiller.refills > 0
 
 
+class TestConnectionStartup:
+    def test_shutdown_right_after_setup_is_acknowledged(self, server,
+                                                        monkeypatch):
+        """A Shutdown arriving with the connection's first bytes joins the
+        serving threads; they must already be running.  Delaying the
+        round thread's start makes the old recv-first order fail every
+        time instead of only when the scheduler loses the race."""
+        import socket
+        import threading
+
+        from repro.wire import (
+            FrameAssembler, SessionSetup, SetupAck, Shutdown,
+            decode_message, encode_message, recv_frames,
+        )
+
+        real_start = threading.Thread.start
+
+        def slow_round_start(thread):
+            if thread.name.startswith("shard-host-round-"):
+                time.sleep(0.2)
+            real_start(thread)
+
+        errors = []
+        monkeypatch.setattr(threading.Thread, "start", slow_round_start)
+        monkeypatch.setattr(threading, "excepthook", errors.append)
+        _, specs = make_specs(shards=1)
+        host, port = server.address.rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            sock.sendall(
+                encode_message(SessionSetup([(0, specs[0])]), 1)
+                + encode_message(Shutdown(), 2)
+            )
+            replies, assembler = [], FrameAssembler()
+            while len(replies) < 2:
+                replies += [decode_message(f)
+                            for f in recv_frames(sock, assembler)]
+        assert [rid for rid, _ in replies] == [1, 2]
+        assert isinstance(replies[0][1], SetupAck)
+        assert isinstance(replies[1][1], Shutdown)
+        assert wait_for(lambda: server.connection_count == 0)
+        assert errors == []
+
+
 class TestConstructionAndConfig:
     def test_build_transport_dispatch(self, gf, server):
         _, specs = make_specs(shards=1)
